@@ -12,7 +12,6 @@
 //! via [`LustreState::stream_delivered_fraction`].
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Configuration of the filesystem pool.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -74,7 +73,12 @@ impl IoDemand {
 #[derive(Debug, Clone)]
 pub struct LustreState {
     config: LustreConfig,
-    demands: HashMap<u64, IoDemand>,
+    /// Streams sorted by id, so demand sums run in a fixed order: float
+    /// addition is not associative, and a randomized order would change
+    /// the sums' last bits between runs. A sorted `Vec` rather than a
+    /// `BTreeMap` because every slowdown query sums the whole set, and
+    /// contiguous iteration keeps that cheap.
+    demands: Vec<(u64, IoDemand)>,
     /// Background demand (GB/s) from the rest of the machine, regime-driven.
     background_gbps: f64,
 }
@@ -86,7 +90,7 @@ impl LustreState {
         assert!(config.ost_count > 0, "filesystem needs OSTs");
         LustreState {
             config,
-            demands: HashMap::new(),
+            demands: Vec::new(),
             background_gbps: 0.0,
         }
     }
@@ -110,7 +114,7 @@ impl LustreState {
         assert!(ost < self.config.ost_count, "OST {ost} out of range");
         let w = self.config.metadata_weight;
         let mut demand = self.background_gbps / self.config.ost_count as f64;
-        for (&id, d) in &self.demands {
+        for &(id, d) in &self.demands {
             let stripes = self.stripe_osts(id);
             if stripes.contains(&ost) {
                 demand += d.effective_gbps(w) / stripes.len() as f64;
@@ -136,7 +140,7 @@ impl LustreState {
     /// the load on *its* OSTs: 1 when all its stripes are unsaturated,
     /// `1/worst_stripe_saturation` otherwise. Unknown ids see the pool.
     pub fn stream_delivered_fraction(&self, id: u64) -> f64 {
-        if !self.demands.contains_key(&id) {
+        if self.demand_index(id).is_err() {
             return self.delivered_fraction();
         }
         let worst = self
@@ -158,12 +162,17 @@ impl LustreState {
 
     /// Registers (or replaces) demand stream `id`.
     pub fn add_demand(&mut self, id: u64, demand: IoDemand) {
-        self.demands.insert(id, demand);
+        match self.demand_index(id) {
+            Ok(i) => self.demands[i].1 = demand,
+            Err(i) => self.demands.insert(i, (id, demand)),
+        }
     }
 
     /// Removes stream `id`; ignores unknown ids.
     pub fn remove_demand(&mut self, id: u64) {
-        self.demands.remove(&id);
+        if let Ok(i) = self.demand_index(id) {
+            self.demands.remove(i);
+        }
     }
 
     /// Sets the background demand in GB/s.
@@ -182,8 +191,8 @@ impl LustreState {
         self.background_gbps
             + self
                 .demands
-                .values()
-                .map(|d| d.effective_gbps(w))
+                .iter()
+                .map(|(_, d)| d.effective_gbps(w))
                 .sum::<f64>()
     }
 
@@ -203,9 +212,14 @@ impl LustreState {
         }
     }
 
+    /// Where stream `id` is in `demands`, or where it would be inserted.
+    fn demand_index(&self, id: u64) -> Result<usize, usize> {
+        self.demands.binary_search_by_key(&id, |&(k, _)| k)
+    }
+
     /// Demand registered for stream `id`, if present.
     pub fn demand_of(&self, id: u64) -> Option<IoDemand> {
-        self.demands.get(&id).copied()
+        self.demand_index(id).ok().map(|i| self.demands[i].1)
     }
 
     /// Number of registered streams.

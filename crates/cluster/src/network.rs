@@ -14,7 +14,7 @@
 
 use crate::topology::{FatTree, LinkId, NodeId, SwitchId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Which links the regime-driven background utilization applies to.
 ///
@@ -59,7 +59,10 @@ pub struct TrafficSource {
 /// per-link load map.
 #[derive(Debug, Clone)]
 pub struct NetworkState {
-    sources: HashMap<u64, TrafficSource>,
+    /// Keyed in a `BTreeMap` so link loads are summed in source-id order:
+    /// float addition is not associative, and a randomized iteration order
+    /// would change the loads' last bits (and every snapshot) between runs.
+    sources: BTreeMap<u64, TrafficSource>,
     loads: HashMap<LinkId, f64>,
     /// Background utilization added to uplinks per the scope (regime-driven
     /// traffic from the rest of the machine; see [`crate::noise`]).
@@ -80,7 +83,7 @@ impl NetworkState {
     /// An empty network.
     pub fn new() -> Self {
         NetworkState {
-            sources: HashMap::new(),
+            sources: BTreeMap::new(),
             loads: HashMap::new(),
             background_util: 0.0,
             background_scope: BackgroundScope::AllLinks,
@@ -314,9 +317,10 @@ fn accumulate_source(tree: &FatTree, source: &TrafficSource, loads: &mut HashMap
         return; // no peers, nothing crosses the fabric
     }
 
-    // Count source nodes per edge switch and per pod.
-    let mut per_edge: HashMap<SwitchId, usize> = HashMap::new();
-    let mut per_pod: HashMap<u32, usize> = HashMap::new();
+    // Count source nodes per edge switch and per pod, iterated in key order
+    // so the per-link sums below are reproducible.
+    let mut per_edge: BTreeMap<SwitchId, usize> = BTreeMap::new();
+    let mut per_pod: BTreeMap<u32, usize> = BTreeMap::new();
     for &node in &source.nodes {
         *per_edge.entry(tree.edge_of(node)).or_insert(0) += 1;
         *per_pod.entry(tree.pod_of(node)).or_insert(0) += 1;

@@ -2273,48 +2273,52 @@ impl SchedulerEngine {
             BreakerState::HalfOpen => Val::List(vec![Val::U64(2), Val::U64(0)]),
         };
 
-        let mut body = Val::map()
-            .with(
-                "queue",
-                Val::List(self.queue.iter().map(|j| Val::U64(j.id.0)).collect()),
-            )
-            .with("running", Val::List(running))
-            .with("skip_table", sorted_pairs(&self.skip_table))
-            .with("delayed_until", delayed)
-            .with("attempts", sorted_pairs(&self.attempts))
-            .with("completed", Val::List(completed))
-            .with("failed", Val::List(failed))
-            .with("events", events_val)
-            .with("rng_place", Val::U64(self.rng_place.draws()))
-            .with("rng_run", Val::U64(self.rng_run.draws()))
-            .with("rng_pred", Val::U64(self.rng_pred.draws()))
-            .with("breaker", breaker)
-            .with("breaker_failures", Val::U64(self.breaker_failures as u64))
-            .with("max_queue_len", Val::U64(self.max_queue_len as u64))
-            .with("rejected", Val::U64(self.replay.rejected))
-            .with("pending_submits", Val::U64(self.pending_submits as u64))
-            .with("queue_dirty", Val::U64(u64::from(self.queue_dirty)))
-            .with(
-                "policy",
-                Val::List(vec![self.config.r1.to_val(), self.config.r2.to_val()]),
-            )
-            .with("next_gen", Val::U64(self.next_gen))
-            .with("machine", self.machine.snapshot_state())
-            .with("pool", self.pool.snapshot_state())
-            .with("store", self.store.to_val())
-            .with("sampler", self.sampler.snapshot_state())
-            .with("tracer", self.tracer.to_val())
-            .with("registry", self.registry.to_val())
-            .with("trace", self.trace.to_val());
-        if let Some(svc) = &self.service {
-            body = body.with("service", svc.to_val());
-        }
-
-        snapshot::encode(
+        // The body streams into the output buffer entry by entry: the
+        // telemetry store, nearly all of the bytes, renders its own text
+        // instead of a tree node per sample.
+        snapshot::encode_with(
             self.master_seed,
             self.events.now().as_micros(),
             self.fingerprint(),
-            &body,
+            |out| {
+                snapshot::render_map(out, |body| {
+                    body.entry(
+                        "queue",
+                        &Val::List(self.queue.iter().map(|j| Val::U64(j.id.0)).collect()),
+                    );
+                    body.entry("running", &Val::List(running));
+                    body.entry("skip_table", &sorted_pairs(&self.skip_table));
+                    body.entry("delayed_until", &delayed);
+                    body.entry("attempts", &sorted_pairs(&self.attempts));
+                    body.entry("completed", &Val::List(completed));
+                    body.entry("failed", &Val::List(failed));
+                    body.entry("events", &events_val);
+                    body.entry("rng_place", &Val::U64(self.rng_place.draws()));
+                    body.entry("rng_run", &Val::U64(self.rng_run.draws()));
+                    body.entry("rng_pred", &Val::U64(self.rng_pred.draws()));
+                    body.entry("breaker", &breaker);
+                    body.entry("breaker_failures", &Val::U64(self.breaker_failures as u64));
+                    body.entry("max_queue_len", &Val::U64(self.max_queue_len as u64));
+                    body.entry("rejected", &Val::U64(self.replay.rejected));
+                    body.entry("pending_submits", &Val::U64(self.pending_submits as u64));
+                    body.entry("queue_dirty", &Val::U64(u64::from(self.queue_dirty)));
+                    body.entry(
+                        "policy",
+                        &Val::List(vec![self.config.r1.to_val(), self.config.r2.to_val()]),
+                    );
+                    body.entry("next_gen", &Val::U64(self.next_gen));
+                    body.entry("machine", &self.machine.snapshot_state());
+                    body.entry("pool", &self.pool.snapshot_state());
+                    body.entry_with("store", |out| self.store.render_snapshot(out));
+                    body.entry("sampler", &self.sampler.snapshot_state());
+                    body.entry("tracer", &self.tracer.to_val());
+                    body.entry("registry", &self.registry.to_val());
+                    body.entry("trace", &self.trace.to_val());
+                    if let Some(svc) = &self.service {
+                        body.entry("service", &svc.to_val());
+                    }
+                })
+            },
         )
     }
 

@@ -6,7 +6,7 @@
 //! reduction the paper applies to each LDMS counter over the five minutes
 //! before a job runs (Section III-A).
 
-use crate::snapshot::{Restorable, Snapshot, SnapshotError, Val};
+use crate::snapshot::{self, Restorable, Snapshot, SnapshotError, Val};
 use crate::stats::OnlineStats;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -142,6 +142,12 @@ impl TimeSeries {
             self.values.drain(..lo);
         }
     }
+
+    /// Appends the canonical text of this series' snapshot (what
+    /// `to_val().render()` gives) without building the tree.
+    pub fn render_snapshot(&self, out: &mut Vec<u8>) {
+        render_points(out, &self.times, &self.values);
+    }
 }
 
 impl Snapshot for TimeSeries {
@@ -156,6 +162,22 @@ impl Snapshot for TimeSeries {
                 Val::List(self.values.iter().map(|&v| Val::from_f64(v)).collect()),
             )
     }
+}
+
+/// Appends `{"t":[..],"v":[..]}`, the canonical text of a [`TimeSeries`]
+/// snapshot with these points, without building a [`Val`] per point.
+/// `values` may hold several values per timestamp (a row-major block).
+pub fn render_points(out: &mut Vec<u8>, times: &[SimTime], values: &[f64]) {
+    snapshot::render_map(out, |map| {
+        map.entry_with("t", |out| {
+            snapshot::render_list(out, times, |out, t| {
+                snapshot::render_u64(out, t.as_micros())
+            })
+        });
+        map.entry_with("v", |out| {
+            snapshot::render_list(out, values, |out, &v| snapshot::render_f64(out, v))
+        });
+    });
 }
 
 impl Restorable for TimeSeries {
@@ -302,5 +324,19 @@ mod proptests {
             prop_assert!(agg.min <= agg.mean + 1e-9);
             prop_assert!(agg.mean <= agg.max + 1e-9);
         }
+    }
+
+    #[test]
+    fn rendered_points_match_the_snapshot_tree() {
+        let mut ts = TimeSeries::new();
+        for (s, v) in [(0, 1.5), (11, -0.0), (12, f64::NAN), (12, f64::MAX)] {
+            ts.push(SimTime::from_secs(s), v);
+        }
+        let mut out = Vec::new();
+        ts.render_snapshot(&mut out);
+        assert_eq!(out, ts.to_val().render().into_bytes());
+        let mut empty = Vec::new();
+        TimeSeries::new().render_snapshot(&mut empty);
+        assert_eq!(empty, TimeSeries::new().to_val().render().into_bytes());
     }
 }

@@ -18,6 +18,13 @@
 //! lets a resuming process reject truncated or bit-flipped checkpoints
 //! instead of resuming from garbage.
 //!
+//! The body need not exist as a tree: [`encode_with`] lets the caller
+//! render it straight into the output buffer, and [`render_map`],
+//! [`render_list`], [`render_u64`] and friends write exactly the bytes the
+//! equivalent [`Val`] would. A component that holds most of a snapshot's
+//! bytes (the telemetry store) renders itself that way instead of
+//! allocating a tree node per value.
+//!
 //! [`Snapshot`] / [`Restorable`] are the trait pair components implement to
 //! participate: `to_val` captures the component's dynamic state, `from_val`
 //! rebuilds it. Stateful components whose reconstruction needs external
@@ -203,44 +210,29 @@ impl Val {
 
     /// Renders the canonical text form.
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.render_into(&mut out);
-        out
+        String::from_utf8(out).expect("canonical text is UTF-8")
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Appends the canonical text form to `out`.
+    fn render_into(&self, out: &mut Vec<u8>) {
         match self {
-            Val::U64(v) => {
-                out.push('u');
-                out.push_str(&v.to_string());
-            }
+            Val::U64(v) => render_u64(out, *v),
             Val::I64(v) => {
-                out.push('i');
-                out.push_str(&v.to_string());
-            }
-            Val::Str(s) => render_str(s, out),
-            Val::List(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
+                out.push(b'i');
+                if *v < 0 {
+                    out.push(b'-');
                 }
-                out.push(']');
+                push_digits(out, v.unsigned_abs());
             }
-            Val::Map(entries) => {
-                out.push('{');
-                for (i, (k, v)) in entries.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render_str(k, out);
-                    out.push(':');
-                    v.render_into(out);
+            Val::Str(s) => render_str(out, s),
+            Val::List(items) => render_list(out, items, |out, item| item.render_into(out)),
+            Val::Map(entries) => render_map(out, |map| {
+                for (k, v) in entries {
+                    map.entry(k, v);
                 }
-                out.push('}');
-            }
+            }),
         }
     }
 
@@ -258,20 +250,125 @@ impl Val {
     }
 }
 
-fn render_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Appends the canonical text of `Val::U64(v)`.
+pub fn render_u64(out: &mut Vec<u8>, v: u64) {
+    out.push(b'u');
+    push_digits(out, v);
+}
+
+/// Appends the canonical text of [`Val::from_f64`]`(x)`.
+pub fn render_f64(out: &mut Vec<u8>, x: f64) {
+    render_u64(out, x.to_bits());
+}
+
+/// Appends the canonical text of `Val::Str(s)`.
+fn render_str(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    // Only ASCII bytes are ever escaped, and every byte of a multi-byte
+    // UTF-8 sequence is >= 0x80, so escaping byte by byte is exact.
+    for &b in s.as_bytes() {
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            b if b < 0x20 => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.extend_from_slice(b"\\u00");
+                out.push(HEX[usize::from(b >> 4)]);
+                out.push(HEX[usize::from(b & 0xF)]);
+            }
+            b => out.push(b),
         }
     }
-    out.push('"');
+    out.push(b'"');
+}
+
+/// Appends the canonical text of a list whose items `each` renders.
+pub fn render_list<T>(
+    out: &mut Vec<u8>,
+    items: impl IntoIterator<Item = T>,
+    mut each: impl FnMut(&mut Vec<u8>, T),
+) {
+    out.push(b'[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        each(out, item);
+    }
+    out.push(b']');
+}
+
+/// Appends the canonical text of a map whose entries `entries` writes, in
+/// order, through a [`MapWriter`].
+pub fn render_map(out: &mut Vec<u8>, entries: impl FnOnce(&mut MapWriter<'_>)) {
+    out.push(b'{');
+    let mut map = MapWriter { out, empty: true };
+    entries(&mut map);
+    map.out.push(b'}');
+}
+
+/// Writes a canonical map entry by entry (see [`render_map`]), so a large
+/// component can render its own text in place of a [`Val`] subtree. The
+/// bytes are exactly those of the equivalent [`Val::Map`].
+pub struct MapWriter<'a> {
+    out: &'a mut Vec<u8>,
+    empty: bool,
+}
+
+impl MapWriter<'_> {
+    /// Appends `key: value`.
+    pub fn entry(&mut self, key: &str, value: &Val) {
+        self.entry_with(key, |out| value.render_into(out));
+    }
+
+    /// Appends `key` and then the value text `render` writes, which must be
+    /// the canonical text of one [`Val`].
+    pub fn entry_with(&mut self, key: &str, render: impl FnOnce(&mut Vec<u8>)) {
+        if !self.empty {
+            self.out.push(b',');
+        }
+        self.empty = false;
+        render_str(self.out, key);
+        self.out.push(b':');
+        render(self.out);
+    }
+}
+
+/// `"00" "01" ... "99"`: two decimal digits per table lookup.
+static DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+/// Appends the decimal digits of `v` (what `v.to_string()` gives) without
+/// allocating.
+fn push_digits(out: &mut Vec<u8>, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut pos = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        pos -= 2;
+        buf[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        pos -= 2;
+        buf[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        pos -= 1;
+        buf[pos] = b'0' + v as u8;
+    }
+    out.extend_from_slice(&buf[pos..]);
 }
 
 fn parse_err(pos: usize, what: &str) -> SnapshotError {
@@ -449,15 +546,32 @@ const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;
 
 /// Encodes a snapshot envelope to bytes.
 pub fn encode(master_seed: u64, sim_clock_us: u64, fingerprint: u64, body: &Val) -> Vec<u8> {
-    let text = body.render();
-    let mut out = Vec::with_capacity(HEADER_LEN + text.len() + 4);
+    encode_with(master_seed, sim_clock_us, fingerprint, |out| {
+        body.render_into(out)
+    })
+}
+
+/// Encodes a snapshot envelope whose body `render_body` appends, as the
+/// canonical text of one [`Val`], straight into the output buffer: the
+/// header goes first, the body is rendered in place, then the length field
+/// is patched and the CRC appended. Gives the same bytes as [`encode`] on
+/// the equivalent tree, without building the tree or copying the body.
+pub fn encode_with(
+    master_seed: u64,
+    sim_clock_us: u64,
+    fingerprint: u64,
+    render_body: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + 4);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&master_seed.to_le_bytes());
     out.extend_from_slice(&sim_clock_us.to_le_bytes());
     out.extend_from_slice(&fingerprint.to_le_bytes());
-    out.extend_from_slice(&(text.len() as u64).to_le_bytes());
-    out.extend_from_slice(text.as_bytes());
+    out.extend_from_slice(&0u64.to_le_bytes());
+    render_body(&mut out);
+    let body_len = (out.len() - HEADER_LEN) as u64;
+    out[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&body_len.to_le_bytes());
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
@@ -544,15 +658,58 @@ pub fn validate(bytes: &[u8]) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected IEEE 802.3 CRC-32 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte-at-a-time
+/// table, and `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k`
+/// zero bytes, so eight input bytes fold into the CRC with eight lookups.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven
+/// slicing-by-8.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc: u32 = 0xFFFF_FFFF;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -676,6 +833,120 @@ mod tests {
     fn crc32_known_vector() {
         // The canonical check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The bit-at-a-time CRC-32 the tables are derived from: the oracle
+    /// the table-driven [`crc32`] must equal.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    /// Deterministic pseudo-random bytes (xorshift64*).
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_reference_on_every_short_length() {
+        let bytes = noise(64, 1);
+        for len in 0..=64 {
+            assert_eq!(
+                crc32(&bytes[..len]),
+                crc32_bitwise(&bytes[..len]),
+                "len {len}"
+            );
+        }
+        assert_eq!(crc32(&[0xFF; 64]), crc32_bitwise(&[0xFF; 64]));
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_reference_on_unaligned_slices() {
+        let bytes = noise(4096 + 16, 2);
+        for start in 0..16 {
+            for len in [1, 7, 8, 9, 63, 64, 65, 1000, 4096] {
+                let slice = &bytes[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bitwise(slice),
+                    "start {start} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_reference_on_a_megabyte() {
+        let bytes = noise(1 << 20, 3);
+        assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+    }
+
+    #[test]
+    fn integers_render_like_to_string() {
+        let mut samples = vec![0, 9, 10, 99, 100, 101, 999, 1000, u64::MAX, u64::MAX - 1];
+        samples.extend((0..20).map(|p| 10u64.pow(p)));
+        samples.extend((1..20).map(|p| 10u64.pow(p) - 1));
+        samples.extend(
+            noise(800, 4)
+                .chunks(8)
+                .map(|c| u64::from_le_bytes(c.try_into().unwrap())),
+        );
+        for v in samples {
+            assert_eq!(Val::U64(v).render(), format!("u{v}"));
+            let i = v as i64;
+            assert_eq!(Val::I64(i).render(), format!("i{i}"));
+        }
+        assert_eq!(Val::I64(i64::MIN).render(), format!("i{}", i64::MIN));
+    }
+
+    #[test]
+    fn strings_escape_byte_for_byte() {
+        let s = "plain é ✓ \"q\" \\ \n\r\t \u{1} \u{1f} \u{7f}";
+        let text = Val::Str(s.to_string()).render();
+        assert_eq!(
+            text,
+            "\"plain é ✓ \\\"q\\\" \\\\ \\n\\r\\t \\u0001 \\u001f \u{7f}\""
+        );
+        assert_eq!(Val::parse(&text).unwrap().as_str().unwrap(), s);
+    }
+
+    #[test]
+    fn streamed_map_matches_the_tree() {
+        let tree = sample();
+        let Val::Map(entries) = &tree else {
+            unreachable!()
+        };
+        let streamed = encode_with(1, 2, 3, |out| {
+            render_map(out, |map| {
+                for (k, v) in entries {
+                    if let Val::List(items) = v {
+                        map.entry_with(k, |out| {
+                            render_list(out, items, |out, item| item.render_into(out))
+                        });
+                    } else {
+                        map.entry(k, v);
+                    }
+                }
+            })
+        });
+        assert_eq!(streamed, encode(1, 2, 3, &tree));
+        let empty = encode_with(1, 2, 3, |out| render_map(out, |_| {}));
+        assert_eq!(empty, encode(1, 2, 3, &Val::map()));
     }
 
     #[test]

@@ -270,7 +270,7 @@ impl Sampler {
 mod tests {
     use super::*;
     use rush_cluster::machine::MachineConfig;
-    use rush_simkit::snapshot::{Restorable, Snapshot};
+    use rush_simkit::snapshot::Restorable;
 
     fn setup() -> (Machine, MetricStore, Sampler) {
         let machine = Machine::new(MachineConfig::tiny(11));
@@ -486,7 +486,9 @@ mod tests {
         let (machine_b, store_b, sampler_b) = run_to(240);
         let m_snap = machine_b.snapshot_state();
         let s_snap = sampler_b.snapshot_state();
-        let st_snap = store_b.to_val();
+        let mut st_text = Vec::new();
+        store_b.render_snapshot(&mut st_text);
+        let st_snap = Val::parse(std::str::from_utf8(&st_text).unwrap()).unwrap();
         let mut machine_c = Machine::new(MachineConfig::tiny(11));
         machine_c.restore_state(&m_snap).unwrap();
         let nodes: Vec<NodeId> = (0..machine_c.tree().node_count()).map(NodeId).collect();

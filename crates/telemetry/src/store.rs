@@ -21,8 +21,8 @@
 //! width never changes.
 
 use rush_cluster::topology::NodeId;
-use rush_simkit::series::TimeSeries;
-use rush_simkit::snapshot::{Restorable, Snapshot, SnapshotError, Val};
+use rush_simkit::series::{render_points, TimeSeries};
+use rush_simkit::snapshot::{self, Restorable, SnapshotError, Val};
 use rush_simkit::time::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -335,60 +335,47 @@ impl MetricStore {
     }
 }
 
-impl Snapshot for MetricStore {
-    fn to_val(&self) -> Val {
-        let gaps = Val::List(
-            self.gaps
-                .iter()
-                .map(|per_node| {
-                    Val::List(
-                        per_node
-                            .iter()
-                            .map(|g| {
-                                let reason = match g.reason {
-                                    GapReason::Dropout => 0,
-                                    GapReason::Blackout => 1,
-                                    GapReason::Corrupt => 2,
-                                    GapReason::NodeDown => 3,
-                                };
-                                Val::List(vec![Val::U64(g.at.as_micros()), Val::U64(reason)])
-                            })
-                            .collect(),
-                    )
+impl MetricStore {
+    /// Appends the store's canonical snapshot text, which
+    /// [`MetricStore::from_val`] reads back. The store is nearly all of an
+    /// engine checkpoint's bytes, so it renders straight into the output
+    /// instead of building one [`Val`] per sample.
+    pub fn render_snapshot(&self, out: &mut Vec<u8>) {
+        snapshot::render_map(out, |map| {
+            map.entry("node_count", &Val::U64(u64::from(self.node_count)));
+            map.entry("counter_count", &Val::U64(self.counter_count as u64));
+            map.entry_with("gaps", |out| {
+                snapshot::render_list(out, &self.gaps, |out, per_node| {
+                    snapshot::render_list(out, per_node, |out, g| {
+                        snapshot::render_list(
+                            out,
+                            [g.at.as_micros(), gap_code(g.reason)],
+                            snapshot::render_u64,
+                        )
+                    })
                 })
-                .collect(),
-        );
-        let base = Val::map()
-            .with("node_count", Val::U64(u64::from(self.node_count)))
-            .with("counter_count", Val::U64(self.counter_count as u64))
-            .with("gaps", gaps);
-        match &self.repr {
-            Repr::Columnar(series) => base.with(
-                "series",
-                Val::List(series.iter().map(Snapshot::to_val).collect()),
-            ),
-            Repr::RowMajor(blocks) => base.with(
-                "blocks",
-                Val::List(
-                    blocks
-                        .iter()
-                        .map(|b| {
-                            Val::map()
-                                .with(
-                                    "t",
-                                    Val::List(
-                                        b.times.iter().map(|t| Val::U64(t.as_micros())).collect(),
-                                    ),
-                                )
-                                .with(
-                                    "v",
-                                    Val::List(b.values.iter().map(|&v| Val::from_f64(v)).collect()),
-                                )
-                        })
-                        .collect(),
-                ),
-            ),
-        }
+            });
+            match &self.repr {
+                Repr::Columnar(series) => map.entry_with("series", |out| {
+                    snapshot::render_list(out, series, |out, s| s.render_snapshot(out))
+                }),
+                Repr::RowMajor(blocks) => map.entry_with("blocks", |out| {
+                    snapshot::render_list(out, blocks, |out, b| {
+                        render_points(out, &b.times, &b.values)
+                    })
+                }),
+            }
+        });
+    }
+}
+
+/// A gap reason's snapshot code (decoded in [`MetricStore::from_val`]).
+fn gap_code(reason: GapReason) -> u64 {
+    match reason {
+        GapReason::Dropout => 0,
+        GapReason::Blackout => 1,
+        GapReason::Corrupt => 2,
+        GapReason::NodeDown => 3,
     }
 }
 
@@ -473,6 +460,7 @@ impl Restorable for MetricStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rush_simkit::snapshot::Snapshot;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -659,6 +647,95 @@ mod tests {
         });
     }
 
+    fn rendered(store: &MetricStore) -> Vec<u8> {
+        let mut text = Vec::new();
+        store.render_snapshot(&mut text);
+        text
+    }
+
+    /// The store's rendered snapshot, parsed back into a tree.
+    fn snapshot_of(store: &MetricStore) -> Val {
+        Val::parse(std::str::from_utf8(&rendered(store)).unwrap()).unwrap()
+    }
+
+    /// The store's snapshot as a [`Val`] tree, one node per value: the
+    /// oracle [`MetricStore::render_snapshot`] must match byte for byte.
+    fn tree_oracle(store: &MetricStore) -> Val {
+        let gaps = Val::List(
+            store
+                .gaps
+                .iter()
+                .map(|per_node| {
+                    Val::List(
+                        per_node
+                            .iter()
+                            .map(|g| {
+                                let reason = match g.reason {
+                                    GapReason::Dropout => 0,
+                                    GapReason::Blackout => 1,
+                                    GapReason::Corrupt => 2,
+                                    GapReason::NodeDown => 3,
+                                };
+                                Val::List(vec![Val::U64(g.at.as_micros()), Val::U64(reason)])
+                            })
+                            .collect(),
+                    )
+                })
+                .collect(),
+        );
+        let base = Val::map()
+            .with("node_count", Val::U64(u64::from(store.node_count)))
+            .with("counter_count", Val::U64(store.counter_count as u64))
+            .with("gaps", gaps);
+        match &store.repr {
+            Repr::Columnar(series) => base.with(
+                "series",
+                Val::List(series.iter().map(Snapshot::to_val).collect()),
+            ),
+            Repr::RowMajor(blocks) => base.with(
+                "blocks",
+                Val::List(
+                    blocks
+                        .iter()
+                        .map(|b| {
+                            Val::map()
+                                .with(
+                                    "t",
+                                    Val::List(
+                                        b.times.iter().map(|t| Val::U64(t.as_micros())).collect(),
+                                    ),
+                                )
+                                .with(
+                                    "v",
+                                    Val::List(b.values.iter().map(|&v| Val::from_f64(v)).collect()),
+                                )
+                        })
+                        .collect(),
+                ),
+            ),
+        }
+    }
+
+    #[test]
+    fn rendered_snapshot_matches_the_tree_oracle() {
+        for_both_layouts(3, 2, |mut store| {
+            let oracle = |store: &MetricStore| tree_oracle(store).render().into_bytes();
+            assert_eq!(rendered(&store), oracle(&store));
+            store.record(NodeId(0), t(0), &[1.0, f64::NAN]);
+            store.record(NodeId(0), t(30), &[-0.0, f64::MAX]);
+            store.record(NodeId(2), t(10), &[3.5, -0.25]);
+            for (at, reason) in [
+                (5, GapReason::Dropout),
+                (15, GapReason::Blackout),
+                (25, GapReason::Corrupt),
+                (35, GapReason::NodeDown),
+            ] {
+                store.record_gap(NodeId(1), t(at), reason);
+            }
+            assert_eq!(rendered(&store), oracle(&store));
+        });
+    }
+
     #[test]
     fn snapshot_round_trip_preserves_points_gaps_and_layout() {
         for_both_layouts(3, 2, |mut store| {
@@ -666,7 +743,7 @@ mod tests {
             store.record(NodeId(2), t(10), &[3.5, -0.25]);
             store.record_gap(NodeId(1), t(5), GapReason::Blackout);
             store.record_gap(NodeId(1), t(15), GapReason::NodeDown);
-            let back = MetricStore::from_val(&store.to_val()).unwrap();
+            let back = MetricStore::from_val(&snapshot_of(&store)).unwrap();
             assert_eq!(back.node_count(), 3);
             assert_eq!(back.counter_count(), 2);
             assert_eq!(back.is_row_major(), store.is_row_major());
